@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint ci fuzz bench bench-check perf figures figures-full clean
+.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint ci fuzz bench bench-check perf perfbench-test figures figures-full clean
 
 all: vet lint test build
 
@@ -105,21 +105,29 @@ stress:
 lint: build
 	$(GO) run ./cmd/bloc-lint -unused-ignores ./...
 
-# Everything CI runs, in CI's order.
-ci: vet lint test race soak chaos chaos-cells chaos-degrade drill overload stress
+# The serving benchmark's own tests (perfbench/ is a separate module):
+# workload and metric wiring, a seconds-long smoke of every workload and
+# the correctness gate (~35 s).
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
-# Native fuzzing smoke pass: the wire protocol and the durable snapshot
-# decoder, each over its seed corpus (go test allows one -fuzz package
-# per invocation, hence two runs).
+# Everything CI runs, in CI's order.
+ci: vet lint test race soak chaos chaos-cells chaos-degrade drill overload stress perfbench-test
+
+# Native fuzzing smoke pass: the wire protocol, the durable snapshot
+# decoder and the gated fix under arbitrary tracker priors, each over its
+# seed corpus (go test allows one -fuzz package per invocation, hence
+# three runs).
 fuzz:
 	$(GO) test -fuzz=. -fuzztime=10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -run '^$$' ./internal/durable/
+	$(GO) test -fuzz=FuzzLocateOptsPrior -fuzztime=10s -run '^$$' ./internal/core/
 
-# Micro-benchmarks (likelihood kernels + end-to-end fix) and the perf
-# report: writes BENCH_3.json with latency, allocation and throughput
-# figures for the steady-state fix path.
+# Micro-benchmarks (the production likelihood kernel's stages + the
+# end-to-end fix) and the perf report: writes BENCH_3.json with latency,
+# allocation and throughput figures for the steady-state fix path.
 bench:
-	$(GO) test -run '^$$' -bench 'LocateSingleFix|PolarLikelihood$$|PolarToXY$$|^BenchmarkLikelihood$$' -benchmem . ./internal/core/
+	$(GO) test -run '^$$' -bench 'LocateSingleFix|RefineAllTiles|CoarsePass' -benchmem . ./internal/core/
 	$(GO) run ./cmd/bloc-bench -exp perf -bench-out BENCH_3.json
 
 # CI smoke: quick perf measurement compared against the committed report;

@@ -3,13 +3,14 @@ package core
 import (
 	"testing"
 
+	"bloc/internal/dsp"
 	"bloc/internal/geom"
 	"bloc/internal/testbed"
 )
 
-// Micro-benchmarks for the likelihood kernels, optimized vs reference.
+// Micro-benchmarks for the likelihood kernels, production vs reference.
 // BenchmarkLocateSingleFix (package bloc) measures the end-to-end fix;
-// these isolate the two hot stages the tentpole optimizes.
+// these isolate the stages of the production kernel a fix runs.
 
 func benchFixture(b *testing.B) (*Engine, *Alpha) {
 	b.Helper()
@@ -28,12 +29,32 @@ func benchFixture(b *testing.B) (*Engine, *Alpha) {
 	return e, a
 }
 
-func BenchmarkPolarLikelihood(b *testing.B) {
+// BenchmarkRefineAllTiles times the production likelihood of a
+// full-grid fix: the float32 polar kernel and tiled projection of every
+// anchor with every tile selected, at the default refinement strides.
+func BenchmarkRefineAllTiles(b *testing.B) {
 	e, a := benchFixture(b)
+	ps, gt := e.planesFor(a.Freqs), e.gatedFor(a.Ref)
+	r := e.startRun(a)
+	combined := dsp.NewGrid(e.nx, e.ny)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.polarLikelihood(a, 1)
+		clear(combined.Data)
+		e.refine(ps, gt, a, r, true, combined)
+	}
+}
+
+// BenchmarkCoarsePass times the decimated pass a tracked fix runs before
+// selecting tiles.
+func BenchmarkCoarsePass(b *testing.B) {
+	e, a := benchFixture(b)
+	ps, gt := e.planesFor(a.Freqs), e.gatedFor(a.Ref)
+	r := e.startRun(a)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.coarsePass(ps, gt, a, r)
 	}
 }
 
@@ -46,19 +67,9 @@ func BenchmarkPolarLikelihoodReference(b *testing.B) {
 	}
 }
 
-func BenchmarkPolarToXY(b *testing.B) {
-	e, a := benchFixture(b)
-	polar := e.polarLikelihood(a, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.polarToXY(polar, 1, 0)
-	}
-}
-
 func BenchmarkPolarToXYReference(b *testing.B) {
 	e, a := benchFixture(b)
-	polar := e.polarLikelihood(a, 1)
+	polar := e.referencePolarLikelihood(a, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,19 +77,10 @@ func BenchmarkPolarToXYReference(b *testing.B) {
 	}
 }
 
-func BenchmarkLikelihood(b *testing.B) {
-	e, a := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.likelihoodCombined(a)
-	}
-}
-
 // BenchmarkGatedFix measures the steady-state tracked fix: a settled
 // prior, warm pools and tables. BenchmarkFullGridFix is the same
-// snapshot through the full-grid path — the pair is the headline
-// speedup of the prior-gated search.
+// snapshot with every tile selected — the pair is the headline speedup
+// of the prior-gated search.
 func BenchmarkGatedFix(b *testing.B) {
 	d, err := testbed.Paper(1)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bloc/internal/dsp"
 	"bloc/internal/geom"
 )
 
@@ -41,14 +40,16 @@ type Config struct {
 	// NormalizePerAnchor scales each anchor's XY likelihood to unit
 	// maximum before summing, so near anchors do not drown far ones.
 	NormalizePerAnchor bool
-	// Gate tunes the prior-gated coarse-to-fine search (gated.go). Zero
-	// fields take their defaults in NewEngine.
+	// Gate tunes the likelihood refinement of every fix and the
+	// prior-gated coarse-to-fine search (gated.go). Zero fields take
+	// their defaults in NewEngine.
 	Gate GateConfig
 }
 
-// GateConfig tunes the two-stage gated search of LocateOpts: how much the
+// GateConfig tunes the two-stage gated search of LocateOpts — how much the
 // coarse pass decimates each grid, how refinement tiles are selected, and
-// when the gate refuses and falls back to the full-grid path.
+// when the gate refuses and falls back to the full grid — and the
+// refinement sweep every BLoc fix, gated or full-grid, runs.
 type GateConfig struct {
 	// CoarseStep is the XY decimation of the coarse pass: every
 	// CoarseStep-th cell in each dimension is evaluated (default 4).
@@ -61,15 +62,15 @@ type GateConfig struct {
 	CoarseThetaStep int
 	CoarseDeltaStep int
 	// RefineDeltaStep is the Δ sampling stride of the full-resolution
-	// refinement sweep (default 4): polarFill32 evaluates every
+	// refinement sweep of every fix (default 4): polarFill32 evaluates every
 	// RefineDeltaStep-th column exactly and linearly interpolates the
 	// rest. The Δ magnitude profile is band-limited by the channel
 	// spread (correlation scale of meters against a few-centimeter
 	// grid), so 4 keeps the peak-cell error under 1%; 1 disables
 	// interpolation and recovers the exact sweep.
 	RefineDeltaStep int
-	// RefineThetaStep is the θ sampling stride of the refinement sweep
-	// (default 2): every RefineThetaStep-th row (plus the last) is
+	// RefineThetaStep is the θ sampling stride of the refinement sweep of
+	// every fix (default 2): every RefineThetaStep-th row (plus the last) is
 	// evaluated and skipped rows are interpolated. A J-element array's
 	// beam pattern has only ~J degrees of freedom across the aperture,
 	// so the 1° row grid heavily oversamples it; 1 disables row
@@ -198,14 +199,13 @@ type Engine struct {
 	spacings   []float64
 	spacingIdx []int
 
-	// projMu guards projSets.
-	projMu sync.RWMutex
-	// projSets holds the per-anchor polar→XY projection tables
-	// (planes.go), one set per reference anchor because Δ is measured
-	// relative to the reference's antenna 0. The set for reference 0 is
-	// built in NewEngine; other references build lazily on first use
-	// (failover is rare). Guarded by projMu.
-	projSets map[int][]anchorProj
+	// tablesMu guards tables, the per-reference projection and tiling
+	// tables (planes.go), one set per reference anchor because Δ is
+	// measured relative to the reference's antenna 0. The set for
+	// reference 0 is built in NewEngine; other references build lazily
+	// on first use (failover is rare).
+	tablesMu sync.RWMutex
+	tables   map[int]*refTables // guarded by tablesMu
 
 	// XY grid geometry.
 	nx, ny int
@@ -215,21 +215,11 @@ type Engine struct {
 	planeMu sync.RWMutex
 	planes  map[uint64][]*planeSet // guarded by planeMu
 
-	// gatedMu guards gatedSets, the per-reference coarse + tiled float32
-	// SoA projection tables of the gated search (gated.go), built lazily
-	// on the first prior-carrying fix per reference.
-	gatedMu   sync.RWMutex
-	gatedSets map[int]*gatedTables // guarded by gatedMu
-
 	// Scratch pools (pool.go) and Stats counters.
-	polarPool *dsp.GridPool // (D × T) polar grids, span-filled (no zeroing)
-	xyPool    *dsp.GridPool // (nx × ny) per-anchor maps, zeroed on Get
-	floatPool sync.Pool     // *[]float64 accumulator planes / entropy windows
-	intPool   sync.Pool     // *[]int active-anchor lists
-	runPool   sync.Pool     // *likRun per-likelihood workspaces
-	gatedPool sync.Pool     // *gatedRun per-gated-fix workspaces
-	alphaPool sync.Pool     // *alphaBox corrected-channel workspaces
-	peakPool  sync.Pool     // *[]dsp.Peak peak-extraction scratch
+	floatPool sync.Pool // *[]float64 entropy windows
+	gatedPool sync.Pool // *gatedRun per-fix workspaces
+	alphaPool sync.Pool // *alphaBox corrected-channel workspaces
+	peakPool  sync.Pool // *[]dsp.Peak peak-extraction scratch
 
 	statFixes       atomic.Uint64
 	statPlaneBuilds atomic.Uint64
@@ -285,17 +275,14 @@ type Stats struct {
 	TilesRefined, TilesTotal uint64
 }
 
-// Stats returns the engine's cumulative performance counters, folding in
-// the grid-pool counters.
+// Stats returns the engine's cumulative performance counters.
 func (e *Engine) Stats() Stats {
-	ph, pm := e.polarPool.Counters()
-	xh, xm := e.xyPool.Counters()
 	return Stats{
 		Fixes:            e.statFixes.Load(),
 		PlaneBuilds:      e.statPlaneBuilds.Load(),
 		TableBytes:       e.statTableBytes.Load(),
-		PoolHits:         e.statPoolHits.Load() + ph + xh,
-		PoolMisses:       e.statPoolMisses.Load() + pm + xm,
+		PoolHits:         e.statPoolHits.Load(),
+		PoolMisses:       e.statPoolMisses.Load(),
 		ProjBuilds:       e.statProjBuilds.Load(),
 		RowsMasked:       e.statRowsMasked.Load(),
 		GatedFixes:       e.statGatedFixes.Load(),
@@ -382,9 +369,7 @@ func NewEngine(anchors []geom.Array, cfg Config) (*Engine, error) {
 	e.ny = int(math.Ceil(cfg.Room.Height()/cfg.CellM)) + 1
 	e.x0, e.y0 = cfg.Room.Min.X, cfg.Room.Min.Y
 
-	e.projSets = map[int][]anchorProj{0: e.buildProjectionsFor(0)}
-	e.polarPool = dsp.NewGridPool(len(e.deltas), len(e.thetas), false)
-	e.xyPool = dsp.NewGridPool(e.nx, e.ny, true)
+	e.tablesFor(0)
 	return e, nil
 }
 

@@ -182,7 +182,7 @@ func TestDistanceLikelihoodPeaksAtTrueRelativeDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < 3; i++ {
-		spec := e.distanceSpectrum(a, i)
+		spec := e.referenceDistanceSpectrum(a, i)
 		best := dsp.ArgMax(spec)
 		got := e.deltas[best]
 		want := tag.Dist(d.Anchors[i].Antenna(0)) - tag.Dist(d.Anchors[0].Antenna(0))
@@ -208,7 +208,7 @@ func TestLikelihoodXYMaxNearTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, per := e.Likelihood(a)
+	grid, per := e.LikelihoodReference(a)
 	if len(per) != 4 {
 		t.Fatalf("per-anchor maps = %d", len(per))
 	}
@@ -323,7 +323,7 @@ func TestShortestPathRemainsShortestUnderCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := e.distanceSpectrum(a, 1)
+	spec := e.referenceDistanceSpectrum(a, 1)
 	ant1 := d.Anchors[1].Antenna(0)
 	master0 := d.Anchors[0].Antenna(0)
 	directDelta := tag.Dist(ant1) - tag.Dist(master0)

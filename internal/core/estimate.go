@@ -50,32 +50,14 @@ func (e *Engine) LocateRef(s *csi.Snapshot, ref int) (*Result, error) {
 	}
 	box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
 	a := e.correctInto(s, ref, box)
-	res, err := e.locateAlpha(a, bestByScore)
+	res, err := e.locateAlpha(a, nil, bestByScore)
 	e.putAlpha(box)
 	return res, err
 }
 
 // LocateAlpha runs the BLoc pipeline on already-corrected channels.
 func (e *Engine) LocateAlpha(a *Alpha) (*Result, error) {
-	return e.locateAlpha(a, bestByScore)
-}
-
-// locateAlpha is the shared likelihood + peak-selection tail of the BLoc
-// estimators; selector picks the winning candidate (Eq. 18 score or the
-// §8.7 shortest-distance ablation).
-func (e *Engine) locateAlpha(a *Alpha, selector func([]Candidate) (Candidate, bool)) (*Result, error) {
-	if err := e.checkAlpha(a); err != nil {
-		return nil, err
-	}
-	grid := e.likelihoodCombined(a)
-	cands := e.candidates(grid)
-	best, ok := selector(cands)
-	if !ok {
-		return nil, fmt.Errorf("core: no likelihood peaks found")
-	}
-	e.statFixes.Add(1)
-	e.statFullFixes.Add(1)
-	return &Result{Estimate: best.Loc, Candidates: cands, Likelihood: grid}, nil
+	return e.locateAlpha(a, nil, bestByScore)
 }
 
 // LocateShortestDistance is the §8.7 ablation: the same likelihood, but
@@ -87,7 +69,7 @@ func (e *Engine) LocateShortestDistance(s *csi.Snapshot) (*Result, error) {
 	}
 	box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
 	a := e.correctInto(s, 0, box)
-	res, err := e.locateAlpha(a, bestByShortestDistance)
+	res, err := e.locateAlpha(a, nil, bestByShortestDistance)
 	e.putAlpha(box)
 	return res, err
 }

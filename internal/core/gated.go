@@ -9,36 +9,37 @@ import (
 	"bloc/internal/geom"
 )
 
-// Prior-gated coarse-to-fine search. Once a tag is tracked, its Kalman
-// confidence ellipse bounds where the next fix can plausibly land, and
-// the likelihood surface is sharply peaked — evaluating the whole grid
-// is wasted work. LocateOpts runs a two-stage search instead:
+// The production likelihood path. Every BLoc fix evaluates Eq. 17 with
+// the float32 SoA kernels (polar32.go) and projects it onto the XY grid
+// through per-anchor tile tables, refining a set of tiles:
 //
-//  1. A coarse pass evaluates every CoarseStep-th XY cell against a
-//     (θ/CoarseThetaStep, Δ/CoarseDeltaStep)-decimated polar grid using
-//     float32 SoA kernels (polar32.go). The coarse surface selects
-//     refinement tiles (any coarse cell ≥ SelectSafety·PeakMinFrac of
-//     the coarse maximum), unioned with every tile the prior ellipse
-//     touches, dilated by one tile ring so peak neighborhoods and the
-//     entropy window stay covered.
-//  2. Only the selected tiles are refined at full resolution: the
-//     float32 polar kernel fills just the θ-row/Δ spans the tiles'
-//     projection cells sample, and the tiled SoA projection paints the
-//     selected cells into a fresh full-resolution grid, which then runs
-//     the ordinary peak extraction and Eq. 18 scoring.
+//   - Full-grid fixes (Locate, LocateRef, LocateAlpha,
+//     LocateShortestDistance, LocateOpts without a prior) select every
+//     tile. Each anchor's map is normalized by its painted maximum and
+//     the whole surface is scanned for Eq. 18 candidates.
+//   - Tracked fixes (LocateOpts with a Prior) run the gate first. Once a
+//     tag is tracked, its Kalman confidence ellipse bounds where the next
+//     fix can plausibly land, and the likelihood surface is sharply
+//     peaked, so evaluating the whole grid is wasted work. A coarse pass
+//     evaluates every CoarseStep-th XY cell against a (θ/CoarseThetaStep,
+//     Δ/CoarseDeltaStep)-decimated polar grid. The coarse surface selects
+//     refinement tiles (coarse local maxima ≥ SelectSafety·PeakMinFrac of
+//     the coarse maximum inside the prior ellipse, dilated by one tile
+//     ring so peak neighborhoods and the entropy window stay covered),
+//     unioned with every tile the prior ellipse touches. Only those tiles
+//     are refined and scanned.
 //
-// The gate refuses — and the fix falls back to the full-grid float64
-// path — whenever its assumptions fail: the coarse argmax lands outside
-// the (margin-grown) prior ellipse, the coarse surface is too flat to
-// select a small tile set, or the refined surface yields no scoreable
-// peak. The fallback keeps the reported CDF pinned to the full-grid
-// oracle; the gated path only decides *where* to look, never changes
-// what a looked-at cell evaluates to beyond float32 rounding.
+// The gate refuses whenever its assumptions fail: the coarse argmax
+// lands outside the (margin-grown) prior ellipse, the coarse surface is
+// too flat to select a small tile set, or the refined surface yields no
+// scoreable peak. A refused fix continues in the same workspace with
+// every tile selected, so it reports exactly what the prior-free fix of
+// the same snapshot reports. The gate only decides *where* to look,
+// never what a looked-at cell evaluates to.
 //
-// The whole gated fix runs sequentially on the calling goroutine: at the
-// sub-millisecond budget the work no longer amortizes parallelFor's
-// task hand-off, and serving-plane parallelism comes from concurrent
-// fixes, not from splitting one.
+// The whole fix runs sequentially on the calling goroutine: serving-plane
+// parallelism comes from concurrent fixes, not from splitting one.
+// reference.go holds the float64 oracle the kernel is tested against.
 
 // Prior is a spatial prior for the gated search: the tracker's
 // confidence ellipse (center, semi-axes in meters, orientation in
@@ -185,35 +186,11 @@ func (e *Engine) LocateOpts(s *csi.Snapshot, opts LocateOptions) (*Result, error
 	}
 	box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
 	defer e.putAlpha(box)
-	a := e.correctInto(s, opts.Ref, box)
-	if opts.Prior == nil {
-		return e.locateAlpha(a, bestByScore)
-	}
-	if err := e.checkAlpha(a); err != nil {
-		return nil, err
-	}
-	res, reason := e.locateGated(a, opts.Prior)
-	if reason == "" {
-		return res, nil
-	}
-	switch reason {
-	case FallbackDisagree:
-		e.statFallbackDisagree.Add(1)
-	case FallbackLowConf:
-		e.statFallbackLowConf.Add(1)
-	default:
-		e.statFallbackNoPeaks.Add(1)
-	}
-	res, err := e.locateAlpha(a, bestByScore)
-	if res != nil {
-		res.Fallback = reason
-	}
-	return res, err
+	return e.locateAlpha(e.correctInto(s, opts.Ref, box), opts.Prior, bestByScore)
 }
 
 // gatedTables holds the precomputed coarse and tiled projection tables
-// of the gated search for one reference anchor. Immutable after
-// construction.
+// for one reference anchor. Immutable after construction.
 type gatedTables struct {
 	cnx, cny int // coarse XY grid dims (every CoarseStep-th cell)
 	cT, cD   int // decimated polar dims
@@ -241,46 +218,27 @@ type coarseProj struct {
 }
 
 // anchorTiles regroups one anchor's full-resolution projection cells
-// (anchorProj.cells) by refinement tile, in SoA float32 lanes: tile ti's
-// cells occupy lane indices [off[ti], off[ti+1]). tLo/tHi and dLo/dHi
-// bound, per tile, the polar rows and Δ columns the tile's cells sample
-// (half-open), so the refinement kernel fills only what the selected
-// tiles will read.
+// by refinement tile, in SoA float32 lanes: tile ti's cells occupy lane
+// indices [off[ti], off[ti+1]). tLo/tHi and dLo/dHi bound, per tile,
+// the polar rows and Δ columns the tile's cells sample (half-open), so
+// the refinement kernel fills only what the selected tiles will read.
+// rowLo/rowHi give, per θ row, the half-open Δ span any of the anchor's
+// cells samples — the exact fill span when every tile is selected; rows
+// no cell maps to have rowLo >= rowHi.
 type anchorTiles struct {
 	off                []int32
 	tLo, tHi, dLo, dHi []int32
+	rowLo, rowHi       []int32
 
 	xy                 []int32
 	i00, i10, i01, i11 []int32
 	w00, w10, w01, w11 []float32
 }
 
-// gatedFor returns the gated tables for the given reference anchor,
-// building and caching on first use (same pattern as projections).
-func (e *Engine) gatedFor(ref int) *gatedTables {
-	e.gatedMu.RLock()
-	gt, ok := e.gatedSets[ref]
-	e.gatedMu.RUnlock()
-	if ok {
-		return gt
-	}
-	e.gatedMu.Lock()
-	defer e.gatedMu.Unlock()
-	if gt, ok := e.gatedSets[ref]; ok {
-		return gt
-	}
-	gt = e.buildGatedFor(ref)
-	if e.gatedSets == nil {
-		e.gatedSets = make(map[int]*gatedTables)
-	}
-	e.gatedSets[ref] = gt
-	return gt
-}
-
 // buildGatedFor derives the coarse nearest-sample tables from the
-// deployment geometry and regroups the existing full-resolution
-// projection tables by tile.
-func (e *Engine) buildGatedFor(ref int) *gatedTables {
+// deployment geometry and regroups each anchor's full-resolution
+// projection cells (buildTablesFor) by tile.
+func (e *Engine) buildGatedFor(ref int, cells [][]projCell) *gatedTables {
 	g := &e.cfg.Gate
 	cs, ts, ds, tc := g.CoarseStep, g.CoarseThetaStep, g.CoarseDeltaStep, g.TileCells
 	T, D := len(e.thetas), len(e.deltas)
@@ -346,17 +304,20 @@ func (e *Engine) buildGatedFor(ref int) *gatedTables {
 		}
 	}
 
-	projs := e.projections(ref)
 	nt := gt.tnx * gt.tny
 	gt.tiles = make([]anchorTiles, len(e.anchors))
-	for i := range projs {
-		cells := projs[i].cells
+	for i := range cells {
+		cells := cells[i]
 		at := &gt.tiles[i]
 		at.off = make([]int32, nt+1)
 		at.tLo, at.tHi = make([]int32, nt), make([]int32, nt)
 		at.dLo, at.dHi = make([]int32, nt), make([]int32, nt)
 		for ti := range at.tLo {
 			at.tLo[ti], at.dLo[ti] = int32(T), int32(D)
+		}
+		at.rowLo, at.rowHi = make([]int32, T), make([]int32, T)
+		for t := range at.rowLo {
+			at.rowLo[t] = int32(D) // empty span until a cell claims the row
 		}
 		for ci := range cells {
 			at.off[e.tileOf(int(cells[ci].xy), gt.tnx)+1]++
@@ -397,6 +358,14 @@ func (e *Engine) buildGatedFor(ref int) *gatedTables {
 			if d1+1 > at.dHi[ti] {
 				at.dHi[ti] = d1 + 1
 			}
+			for _, t := range [2]int32{t0, t1} {
+				if d0 < at.rowLo[t] {
+					at.rowLo[t] = d0
+				}
+				if d1+1 > at.rowHi[t] {
+					at.rowHi[t] = d1 + 1
+				}
+			}
 		}
 	}
 
@@ -404,10 +373,9 @@ func (e *Engine) buildGatedFor(ref int) *gatedTables {
 		cp := &gt.coarse[i]
 		gt.bytes += (len(cp.xy) + len(cp.src) + len(cp.w) + len(cp.dLo) + len(cp.dHi)) * 4
 		at := &gt.tiles[i]
-		gt.bytes += (len(at.off) + 5*nt) * 4 // off + four bbox lanes
-		gt.bytes += len(at.xy) * 4 * 9       // nine 4-byte SoA lanes
+		gt.bytes += (len(at.off) + 4*nt + 2*T) * 4 // off + four bbox lanes + row spans
+		gt.bytes += len(at.xy) * 4 * 9             // nine 4-byte SoA lanes
 	}
-	e.statTableBytes.Add(uint64(gt.bytes))
 	return gt
 }
 
@@ -417,37 +385,94 @@ func (e *Engine) tileOf(xy, tnx int) int {
 	return (xy / e.nx / tc * tnx) + (xy % e.nx / tc)
 }
 
-// locateGated attempts one prior-gated coarse-to-fine fix on checked,
-// corrected channels. It returns (result, "") on success, or (nil,
-// reason) when the gate refuses and the caller must fall back.
-func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
-	g := &e.cfg.Gate
+// locateAlpha is the shared likelihood + peak-selection tail of the BLoc
+// estimators; selector picks the winning candidate (Eq. 18 score or the
+// §8.7 shortest-distance ablation). A non-nil prior attempts the gate
+// first; without one, or when the gate refuses, every tile is refined in
+// the same workspace.
+func (e *Engine) locateAlpha(a *Alpha, prior *Prior, selector func([]Candidate) (Candidate, bool)) (*Result, error) {
+	if err := e.checkAlpha(a); err != nil {
+		return nil, err
+	}
 	ps := e.planesFor(a.Freqs)
 	gt := e.gatedFor(a.Ref)
-	T, D := len(e.thetas), len(e.deltas)
-	I := a.NumAnchors()
-
-	r := e.getGatedRun()
+	r := e.startRun(a)
 	defer e.putGatedRun(r)
+	combined := dsp.NewGrid(e.nx, e.ny)
+
+	var reason string
+	if prior != nil {
+		var refined int
+		refined, reason = e.selectTiles(ps, gt, a, prior, r)
+		if reason == "" {
+			e.refine(ps, gt, a, r, false, combined)
+			kept := e.gatedCandidates(gt, r, combined)
+			if best, ok := selector(kept); ok {
+				nt := gt.tnx * gt.tny
+				e.statFixes.Add(1)
+				e.statGatedFixes.Add(1)
+				e.statTilesRefined.Add(uint64(refined))
+				e.statTilesTotal.Add(uint64(nt))
+				return &Result{
+					Estimate:     best.Loc,
+					Candidates:   kept,
+					Likelihood:   combined,
+					Gated:        true,
+					TilesRefined: refined,
+					TilesTotal:   nt,
+				}, nil
+			}
+			reason = FallbackNoPeaks
+			clear(combined.Data)
+		}
+		switch reason {
+		case FallbackDisagree:
+			e.statFallbackDisagree.Add(1)
+		case FallbackLowConf:
+			e.statFallbackLowConf.Add(1)
+		default:
+			e.statFallbackNoPeaks.Add(1)
+		}
+	}
+
+	e.refine(ps, gt, a, r, true, combined)
+	cands := e.candidates(combined)
+	best, ok := selector(cands)
+	if !ok {
+		return nil, fmt.Errorf("core: no likelihood peaks found")
+	}
+	e.statFixes.Add(1)
+	e.statFullFixes.Add(1)
+	return &Result{Estimate: best.Loc, Candidates: cands, Likelihood: combined, Fallback: reason}, nil
+}
+
+// startRun draws a fix workspace from the pool and sizes it for a: the
+// active anchors (those with a usable band), the accumulator planes and
+// the folded beamforming coefficients.
+func (e *Engine) startRun(a *Alpha) *gatedRun {
+	r := e.getGatedRun()
 	r.active = r.active[:0]
-	for i := 0; i < I; i++ {
+	for i := 0; i < a.NumAnchors(); i++ {
 		if a.PresentBands(i) > 0 {
 			r.active = append(r.active, i)
 		}
 	}
-	if len(r.active) == 0 {
-		return nil, FallbackNoPeaks
-	}
+	r.acc = growF32(r.acc, 2*len(e.deltas))
+	r.avp = growC128(r.avp, a.NumBands()*a.NumAntennas())
+	return r
+}
 
-	// ---- Stage 1: coarse decimated pass. ----
+// coarsePass evaluates the decimated surface of every active anchor into
+// r.ccomb (each anchor normalized by its coarse maximum, recorded in
+// r.cmax) and returns the coarse global maximum and its index (-1 when
+// the surface is empty). r comes from startRun.
+func (e *Engine) coarsePass(ps *planeSet, gt *gatedTables, a *Alpha, r *gatedRun) (float32, int) {
 	nc := gt.cnx * gt.cny
 	r.ccomb = growF32(r.ccomb, nc)
 	clear(r.ccomb)
 	r.cpolar = growF32(r.cpolar, gt.cT*gt.cD+1)
 	r.cpolar[gt.cT*gt.cD] = 0 // headroom slot for the saturated last Δ tap
-	r.acc = growF32(r.acc, 2*D)
-	r.cmax = growF64(r.cmax, I)
-	r.avp = growC128(r.avp, a.NumBands()*a.NumAntennas())
+	r.cmax = growF64(r.cmax, a.NumAnchors())
 	for _, i := range r.active {
 		cp := &gt.coarse[i]
 		bfCoeffs(ps, a, i, r.avp)
@@ -478,15 +503,24 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 			cmax, argc = v, c
 		}
 	}
+	return cmax, argc
+}
+
+// selectTiles runs the gate: the coarse pass, the agreement check against
+// the prior and the tile selection. On success it leaves the refinement
+// mask in r.dil and returns the number of selected tiles; otherwise it
+// returns the refusal reason.
+func (e *Engine) selectTiles(ps *planeSet, gt *gatedTables, a *Alpha, prior *Prior, r *gatedRun) (int, string) {
+	g := &e.cfg.Gate
+	cmax, argc := e.coarsePass(ps, gt, a, r)
 	if argc < 0 || !(cmax > 0) {
-		return nil, FallbackNoPeaks
+		return 0, FallbackNoPeaks
 	}
 	coarseEst := e.CellCenter(argc%gt.cnx*g.CoarseStep, argc/gt.cnx*g.CoarseStep)
 	if !prior.Contains(coarseEst, g.DisagreeMarginM) {
-		return nil, FallbackDisagree
+		return 0, FallbackDisagree
 	}
 
-	// ---- Tile selection: prior-compatible coarse peaks, one-ring dilation. ----
 	// A tile is value-selected when it contains a coarse local maximum
 	// at ≥ SelectSafety·PeakMinFrac of the coarse global maximum — the
 	// decimated mirror of FindPeaks' acceptance rule, with SelectSafety
@@ -534,7 +568,7 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 		}
 	}
 	if float64(nSel) > g.MaxTileFrac*float64(nt) {
-		return nil, FallbackLowConf
+		return 0, FallbackLowConf
 	}
 	// Peak-bearing tiles get a one-tile ring: it absorbs the coarse→full
 	// argmax shift and keeps the Eq. 18 entropy window (±EntropyWindow/2
@@ -577,48 +611,59 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 			}
 		}
 	}
+	return refined, ""
+}
 
-	// ---- Stage 2: full-resolution refinement of the selected tiles. ----
-	combined := dsp.NewGrid(e.nx, e.ny)
+// refine evaluates the full-resolution likelihood of every active anchor
+// on the selected tiles — all of them when all is set, otherwise the
+// r.dil mask — and adds each anchor's normalized map into combined.
+// r comes from startRun; the gated mode also reads the coarse maxima
+// r.cmax.
+func (e *Engine) refine(ps *planeSet, gt *gatedTables, a *Alpha, r *gatedRun, all bool, combined *dsp.Grid) {
+	T, D := len(e.thetas), len(e.deltas)
 	r.polar = growF32(r.polar, T*D)
 	r.rowLo = growI32(r.rowLo, T)
 	r.rowHi = growI32(r.rowHi, T)
+	cd := combined.Data
 	for _, i := range r.active {
 		at := &gt.tiles[i]
-		for t := range r.rowLo {
-			r.rowLo[t], r.rowHi[t] = int32(D), 0
-		}
-		painted := false
-		for ti, on := range r.dil {
-			if !on || at.off[ti+1] == at.off[ti] {
+		rowLo, rowHi := at.rowLo, at.rowHi
+		if !all {
+			rowLo, rowHi = r.rowLo, r.rowHi
+			for t := range rowLo {
+				rowLo[t], rowHi[t] = int32(D), 0
+			}
+			painted := false
+			for ti, on := range r.dil {
+				if !on || at.off[ti+1] == at.off[ti] {
+					continue
+				}
+				painted = true
+				for t := at.tLo[ti]; t < at.tHi[ti]; t++ {
+					if at.dLo[ti] < rowLo[t] {
+						rowLo[t] = at.dLo[ti]
+					}
+					if at.dHi[ti] > rowHi[t] {
+						rowHi[t] = at.dHi[ti]
+					}
+				}
+			}
+			if !painted {
 				continue
 			}
-			painted = true
-			for t := at.tLo[ti]; t < at.tHi[ti]; t++ {
-				if at.dLo[ti] < r.rowLo[t] {
-					r.rowLo[t] = at.dLo[ti]
-				}
-				if at.dHi[ti] > r.rowHi[t] {
-					r.rowHi[t] = at.dHi[ti]
-				}
-			}
-		}
-		if !painted {
-			continue
 		}
 		bfCoeffs(ps, a, i, r.avp)
-		e.polarFill32(ps, a, i, r.polar, r.rowLo, r.rowHi, r.acc, r.avp)
+		e.polarFill32(ps, a, i, r.polar, rowLo, rowHi, r.acc, r.avp)
 
 		// Paint the selected tiles, collecting the painted maximum for
 		// the deferred normalization.
 		r.vals = r.vals[:0]
 		var pm float32
-		for ti, on := range r.dil {
-			if !on {
+		for ti := 0; ti+1 < len(at.off); ti++ {
+			if !all && !r.dil[ti] {
 				continue
 			}
-			lo, hi := at.off[ti], at.off[ti+1]
-			for c := lo; c < hi; c++ {
+			for c := at.off[ti]; c < at.off[ti+1]; c++ {
 				v := r.polar[at.i00[c]]*at.w00[c] + r.polar[at.i10[c]]*at.w10[c] +
 					r.polar[at.i01[c]]*at.w01[c] + r.polar[at.i11[c]]*at.w11[c]
 				r.vals = append(r.vals, v)
@@ -627,62 +672,53 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 				}
 			}
 		}
-		// The anchor's true map maximum may lie outside the selected
-		// tiles; the coarse global maximum (an exact float32 evaluation
-		// of the same surface at decimated points) recovers it to within
-		// decimation error, keeping the per-anchor weighting close to
-		// the full-grid oracle's.
-		denom := r.cmax[i]
-		if float64(pm) > denom {
-			denom = float64(pm)
+		// With every tile painted, pm is the anchor's map maximum. A
+		// gated fix paints a subset, and the true maximum may lie outside
+		// it; the coarse maximum (an exact float32 evaluation of the same
+		// surface at decimated points) recovers it to within decimation
+		// error, keeping the per-anchor weighting close to the full
+		// grid's.
+		denom := float64(pm)
+		if !all && r.cmax[i] > denom {
+			denom = r.cmax[i]
 		}
 		inv := 1.0
 		if e.cfg.NormalizePerAnchor && denom > 0 {
 			inv = 1 / denom
 		}
 		n := 0
-		cd := combined.Data
-		for ti, on := range r.dil {
-			if !on {
+		for ti := 0; ti+1 < len(at.off); ti++ {
+			if !all && !r.dil[ti] {
 				continue
 			}
-			lo, hi := at.off[ti], at.off[ti+1]
-			for c := lo; c < hi; c++ {
+			for c := at.off[ti]; c < at.off[ti+1]; c++ {
 				cd[at.xy[c]] += float64(r.vals[n]) * inv
 				n++
 			}
 		}
 	}
+}
 
-	// Painting only a subset of tiles creates artificial cliffs at the
-	// selection boundary, and a background cell on the high side of a
-	// cliff is a local maximum the full grid would never report. True
-	// candidates sit inside a value tile (± the coarse→full shift), a
-	// full ring away from any boundary — so any candidate whose 3×3
-	// neighborhood leaves the refined region is a truncation artifact
-	// and is dropped before Eq. 18 gets to score it.
-	// The surface is zero outside the selected tiles, so the peak scan
-	// only needs their bounding rect (candidatesIn): same peaks, a
-	// fraction of the full-grid scan.
-	tc := g.TileCells
+// gatedCandidates scans a gated surface for Eq. 18 candidates. Painting
+// only a subset of tiles creates artificial cliffs at the selection
+// boundary, and a background cell on the high side of a cliff is a local
+// maximum the full grid would never report. True candidates sit inside a
+// value tile (± the coarse→full shift), a full ring away from any
+// boundary — so any candidate whose 3×3 neighborhood leaves the refined
+// region is a truncation artifact and is dropped before Eq. 18 gets to
+// score it. The surface is zero outside the selected tiles, so the peak
+// scan only needs their bounding rect (candidatesIn): same peaks, a
+// fraction of the full-grid scan.
+func (e *Engine) gatedCandidates(gt *gatedTables, r *gatedRun, combined *dsp.Grid) []Candidate {
+	tc := e.cfg.Gate.TileCells
 	minTx, minTy, maxTx, maxTy := gt.tnx, gt.tny, -1, -1
 	for ti, on := range r.dil {
 		if !on {
 			continue
 		}
 		tix, tiy := ti%gt.tnx, ti/gt.tnx
-		if tix < minTx {
-			minTx = tix
-		}
-		if tix > maxTx {
-			maxTx = tix
-		}
-		if tiy < minTy {
-			minTy = tiy
-		}
-		if tiy > maxTy {
-			maxTy = tiy
-		}
+		minTx, maxTx = min(minTx, tix), max(maxTx, tix)
+		minTy, maxTy = min(minTy, tiy), max(maxTy, tiy)
 	}
 	cands := e.candidatesIn(combined, minTx*tc, minTy*tc, (maxTx+1)*tc, (maxTy+1)*tc)
 	kept := cands[:0]
@@ -706,20 +742,5 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 			kept = append(kept, c)
 		}
 	}
-	best, ok := bestByScore(kept)
-	if !ok {
-		return nil, FallbackNoPeaks
-	}
-	e.statFixes.Add(1)
-	e.statGatedFixes.Add(1)
-	e.statTilesRefined.Add(uint64(refined))
-	e.statTilesTotal.Add(uint64(nt))
-	return &Result{
-		Estimate:     best.Loc,
-		Candidates:   kept,
-		Likelihood:   combined,
-		Gated:        true,
-		TilesRefined: refined,
-		TilesTotal:   nt,
-	}, ""
+	return kept
 }

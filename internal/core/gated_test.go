@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"bloc/internal/geom"
@@ -82,8 +83,12 @@ func TestGatedParityTracked(t *testing.T) {
 	}
 }
 
-// TestGatedNilPriorIsFullPath pins track loss: without a prior,
-// LocateOpts is exactly LocateRef.
+// TestGatedNilPriorIsFullPath pins track loss and fallback equivalence:
+// without a prior LocateOpts is exactly LocateRef, and a refused gate
+// (the teleport case) continues with every tile selected, returning the
+// same estimate and candidates as the prior-free fix of the same
+// snapshot. The refused fix counts once in FullFixes and once in its
+// trigger counter.
 func TestGatedNilPriorIsFullPath(t *testing.T) {
 	d, err := testbed.Paper(3)
 	if err != nil {
@@ -102,8 +107,39 @@ func TestGatedNilPriorIsFullPath(t *testing.T) {
 	if res.Gated || res.Fallback != "" {
 		t.Fatalf("nil prior produced gated=%v fallback=%q", res.Gated, res.Fallback)
 	}
-	if res.Estimate != full.Estimate {
-		t.Fatalf("nil-prior estimate %v != LocateRef %v", res.Estimate, full.Estimate)
+	if res.Estimate != full.Estimate || !reflect.DeepEqual(res.Candidates, full.Candidates) {
+		t.Fatalf("nil-prior fix %v (%d candidates) != LocateRef %v (%d candidates)",
+			res.Estimate, len(res.Candidates), full.Estimate, len(full.Candidates))
+	}
+
+	before := e.Stats()
+	// Prior stuck at the opposite corner, far outside DisagreeMarginM.
+	fb, err := e.LocateOpts(snap, LocateOptions{Prior: tightPrior(geom.Pt(-2.0, 2.3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb.Gated || fb.Fallback != FallbackDisagree {
+		t.Fatalf("teleport prior: gated=%v fallback=%q, want a %q fallback", fb.Gated, fb.Fallback, FallbackDisagree)
+	}
+	if fb.Estimate != full.Estimate || !reflect.DeepEqual(fb.Candidates, full.Candidates) {
+		t.Fatalf("fallback fix %v (%d candidates) != prior-free fix %v (%d candidates)",
+			fb.Estimate, len(fb.Candidates), full.Estimate, len(full.Candidates))
+	}
+	if !reflect.DeepEqual(fb.Likelihood.Data, full.Likelihood.Data) {
+		t.Fatal("fallback likelihood surface differs from the prior-free fix's")
+	}
+	after := e.Stats()
+	if got := after.FullFixes - before.FullFixes; got != 1 {
+		t.Errorf("FullFixes grew by %d, want 1", got)
+	}
+	if got := after.FallbackDisagree - before.FallbackDisagree; got != 1 {
+		t.Errorf("FallbackDisagree grew by %d, want 1", got)
+	}
+	if after.GatedFixes != before.GatedFixes || after.TilesTotal != before.TilesTotal {
+		t.Errorf("fallback touched the gated counters: %+v → %+v", before, after)
+	}
+	if after.Fixes-before.Fixes != 1 {
+		t.Errorf("Fixes grew by %d, want 1", after.Fixes-before.Fixes)
 	}
 }
 
@@ -237,7 +273,7 @@ func TestGatedStatsPartition(t *testing.T) {
 }
 
 // TestPolarFill32Golden compares the float32 kernel against the float64
-// oracle over the full polar plane: relative error (against the plane
+// oracle (referencePolarLikelihood) over the full polar plane: relative error (against the plane
 // maximum) must stay within float32 accumulation noise. RefineDeltaStep
 // is pinned to 1 so every column is evaluated exactly; the default
 // stride's interpolation error is bounded separately by
@@ -262,7 +298,7 @@ func TestPolarFill32Golden(t *testing.T) {
 	ps := e.planesFor(a.Freqs)
 	T, D := len(e.thetas), len(e.deltas)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
-		golden := e.polarLikelihood(a, anchor)
+		golden := e.referencePolarLikelihood(a, anchor)
 
 		got := make([]float32, T*D)
 		rowLo := make([]int32, T)
@@ -327,7 +363,7 @@ func TestPolarFill32InterpError(t *testing.T) {
 	}
 	acc := make([]float32, 2*D)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
-		golden := e.polarLikelihood(a, anchor)
+		golden := e.referencePolarLikelihood(a, anchor)
 		avp := make([]complex128, a.NumBands()*a.NumAntennas())
 		bfCoeffs(ps, a, anchor, avp)
 		e.polarFill32(ps, a, anchor, got, rowLo, rowHi, acc, avp)
@@ -356,8 +392,8 @@ func TestPolarFill32InterpError(t *testing.T) {
 }
 
 // TestCoarsePolarFill32Golden checks the decimated coarse kernel: each
-// coarse sample is the same (θ, Δ) evaluation as the float64 plane at
-// the decimated indices.
+// coarse sample is the same (θ, Δ) evaluation as the float64 oracle
+// plane at the decimated indices.
 func TestCoarsePolarFill32Golden(t *testing.T) {
 	d, err := testbed.Paper(22)
 	if err != nil {
@@ -374,7 +410,7 @@ func TestCoarsePolarFill32Golden(t *testing.T) {
 	g := e.Config().Gate
 	D := len(e.deltas)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
-		golden := e.polarLikelihood(a, anchor)
+		golden := e.referencePolarLikelihood(a, anchor)
 		var max float64
 		for _, v := range golden.Data {
 			if v > max {

@@ -11,27 +11,31 @@ import (
 // geometry, the (θ, Δ) polar grids, the XY room grid and the band plan —
 // is hoisted out of the per-fix path into two kinds of tables:
 //
-//   - Projection tables (anchorProj), built once per reference anchor
-//     (reference 0 eagerly in NewEngine, failover references lazily): for
-//     every XY cell in front of an anchor, the polar-grid source indices and
-//     bilinear weights that polarToXY / angleSpectrumToXY /
-//     DistanceLikelihoodXY would otherwise re-derive with atan2/hypot per
-//     cell per fix. Cells that project out of range are simply absent
-//     from the packed lists. The per-θ-row Δ spans (dLo/dHi) record which
-//     polar cells any XY cell actually samples, so the likelihood kernel
-//     can skip polar cells nobody will read.
+//   - Per-reference tables (refTables), built once per reference anchor
+//     (reference 0 eagerly in NewEngine, failover references lazily,
+//     because Δ is measured relative to the reference's antenna 0): for
+//     every XY cell in front of an anchor, the polar-grid source indices
+//     and bilinear weights the tiled projection (gated.go) and the
+//     angle/distance painters (xymap.go) would otherwise re-derive with
+//     atan2/hypot per cell per fix. Cells that project out of range are
+//     simply absent. The bilinear cells are regrouped by refinement tile
+//     into float32 SoA lanes and the per-θ-row Δ spans record which polar
+//     cells any XY cell samples, so the likelihood kernel skips polar
+//     cells nobody will read.
 //
 //   - Steering planes (planeSet), built once per band plan on first use
 //     and cached on the engine: the angular frequencies w_k, the base
-//     distance steering e^{ι w_k Δ_d} (shared by all anchors, split into
-//     re/im planes so the hot loop is scalar FMA-friendly), the
-//     per-anchor phase rotors e^{−ι w_k D_i}, and the per-antenna-spacing
-//     angle rotors e^{−ι w_k l sinθ_t}. A deployment uses one band plan,
-//     so steady state is a read-lock lookup; band-subset sweeps (Fig. 10,
-//     Fig. 11) each build and cache their own plane once.
+//     distance steering e^{ι w_k Δ_d} (shared by all anchors, as float32
+//     re/im lanes so the hot loop is a flat multiply-add), the per-anchor
+//     phase rotors e^{−ι w_k D_i}, and the per-antenna-spacing angle
+//     rotors e^{−ι w_k l sinθ_t} with their powers. A deployment uses one
+//     band plan, so steady state is a read-lock lookup; band-subset
+//     sweeps (Fig. 10, Fig. 11) each build and cache their own plane
+//     once.
 
 // projCell maps one XY cell to its four bilinear source cells in a polar
-// (θ, Δ) grid. Indices address Grid.Data of a D-wide polar grid.
+// (θ, Δ) grid. Indices address a D-wide row-major polar plane. It only
+// lives while buildTablesFor regroups the cells by tile.
 type projCell struct {
 	xy                 int32 // XY cell index (iy*nx + ix)
 	i00, i10, i01, i11 int32 // polar source indices
@@ -46,45 +50,55 @@ type lineCell struct {
 	fr     float64
 }
 
-// anchorProj holds one anchor's projection tables.
+// anchorProj holds one anchor's 1-D painting tables.
 type anchorProj struct {
-	cells []projCell // polar → XY (cells with both θ and Δ in range)
 	angle []lineCell // θ spectrum → XY (cells with θ in range)
 	dist  []lineCell // Δ spectrum → XY (cells with Δ in range)
-	// dLo/dHi give, per θ row, the half-open Δ index span any projCell
-	// samples; rows no XY cell maps to have dLo >= dHi and the likelihood
-	// kernel skips them entirely.
-	dLo, dHi []int32
 }
 
-// projections returns the per-anchor projection tables for the given
-// reference anchor, building and caching them on first use. Reference 0
-// is built eagerly in NewEngine, so the steady state (no failover) is a
-// shared-lock map hit.
-func (e *Engine) projections(ref int) []anchorProj {
-	e.projMu.RLock()
-	set, ok := e.projSets[ref]
-	e.projMu.RUnlock()
+// refTables holds everything precomputed for one reference anchor.
+// Immutable after construction.
+type refTables struct {
+	proj  []anchorProj // per anchor
+	gated *gatedTables
+}
+
+// tablesFor returns the tables for the given reference anchor, building
+// and caching them on first use. Reference 0 is built eagerly in
+// NewEngine, so the steady state (no failover) is a shared-lock map hit.
+func (e *Engine) tablesFor(ref int) *refTables {
+	e.tablesMu.RLock()
+	rt, ok := e.tables[ref]
+	e.tablesMu.RUnlock()
 	if ok {
-		return set
+		return rt
 	}
-	e.projMu.Lock()
-	defer e.projMu.Unlock()
-	if set, ok := e.projSets[ref]; ok {
-		return set
+	e.tablesMu.Lock()
+	defer e.tablesMu.Unlock()
+	if rt, ok := e.tables[ref]; ok {
+		return rt
 	}
-	set = e.buildProjectionsFor(ref)
-	e.projSets[ref] = set
-	return set
+	rt = e.buildTablesFor(ref)
+	if e.tables == nil {
+		e.tables = make(map[int]*refTables)
+	}
+	e.tables[ref] = rt
+	return rt
 }
 
-// buildProjectionsFor derives every anchor's projection tables from the
-// deployment geometry for one reference anchor: Δ at each XY cell is the
-// distance to the anchor minus the distance to the reference's antenna 0.
-// This is the one place the per-cell trigonometry (AngleTo, Dist) of the
+// projections returns the per-anchor painting tables for a reference.
+func (e *Engine) projections(ref int) []anchorProj { return e.tablesFor(ref).proj }
+
+// gatedFor returns the coarse and tiled tables for a reference.
+func (e *Engine) gatedFor(ref int) *gatedTables { return e.tablesFor(ref).gated }
+
+// buildTablesFor derives every anchor's tables from the deployment
+// geometry for one reference anchor: Δ at each XY cell is the distance
+// to the anchor minus the distance to the reference's antenna 0. This is
+// the one place the per-cell trigonometry (AngleTo, Dist) of the
 // projections still runs — once per (engine, reference) instead of once
 // per fix.
-func (e *Engine) buildProjectionsFor(ref int) []anchorProj {
+func (e *Engine) buildTablesFor(ref int) *refTables {
 	T, D := len(e.thetas), len(e.deltas)
 	tStep := e.thetas[1] - e.thetas[0]
 	dStep := e.deltas[1] - e.deltas[0]
@@ -93,14 +107,15 @@ func (e *Engine) buildProjectionsFor(ref int) []anchorProj {
 	master0 := e.anchors[ref].Antenna(0)
 
 	proj := make([]anchorProj, len(e.anchors))
+	cells := make([][]projCell, len(e.anchors))
 	for i, arr := range e.anchors {
 		ant0 := arr.Antenna(0)
 		pr := &proj[i]
-		pr.dLo = make([]int32, T)
-		pr.dHi = make([]int32, T)
-		for t := range pr.dLo {
-			pr.dLo[t] = int32(D) // empty span until a cell claims the row
-		}
+		// A wall-mounted array sees most of the room: size every list
+		// for the whole grid up front instead of regrowing it.
+		pr.angle = make([]lineCell, 0, e.nx*e.ny)
+		pr.dist = make([]lineCell, 0, e.nx*e.ny)
+		cells[i] = make([]projCell, 0, e.nx*e.ny)
 		for iy := 0; iy < e.ny; iy++ {
 			for ix := 0; ix < e.nx; ix++ {
 				p := e.CellCenter(ix, iy)
@@ -133,7 +148,7 @@ func (e *Engine) buildProjectionsFor(ref int) []anchorProj {
 				}
 				if thOK && dOK {
 					// Mirror dsp.Grid.Bilinear's clamping exactly so the
-					// table yields bit-identical samples.
+					// table samples where the reference projection does.
 					x := (delta - dMin) / dStep
 					y := (theta - tMin) / tStep
 					if x > float64(D-1) {
@@ -151,53 +166,35 @@ func (e *Engine) buildProjectionsFor(ref int) []anchorProj {
 						y1 = T - 1
 					}
 					fx, fy := x-float64(x0), y-float64(y0)
-					pr.cells = append(pr.cells, projCell{
+					cells[i] = append(cells[i], projCell{
 						xy:  xy,
 						i00: int32(y0*D + x0), i10: int32(y0*D + x1),
 						i01: int32(y1*D + x0), i11: int32(y1*D + x1),
 						w00: (1 - fx) * (1 - fy), w10: fx * (1 - fy),
 						w01: (1 - fx) * fy, w11: fx * fy,
 					})
-					for _, row := range [2]int{y0, y1} {
-						if int32(x0) < pr.dLo[row] {
-							pr.dLo[row] = int32(x0)
-						}
-						if int32(x1+1) > pr.dHi[row] {
-							pr.dHi[row] = int32(x1 + 1)
-						}
-					}
 				}
 			}
 		}
 	}
 
-	var bytes int
+	rt := &refTables{proj: proj, gated: e.buildGatedFor(ref, cells)}
+	bytes := rt.gated.bytes
 	for i := range proj {
-		pr := &proj[i]
-		bytes += len(pr.cells)*projCellBytes + (len(pr.angle)+len(pr.dist))*lineCellBytes
-		bytes += (len(pr.dLo) + len(pr.dHi)) * 4
+		bytes += (len(proj[i].angle) + len(proj[i].dist)) * lineCellBytes
 	}
 	e.statTableBytes.Add(uint64(bytes))
 	e.statProjBuilds.Add(1)
-	return proj
+	return rt
 }
 
-const (
-	projCellBytes = 4*5 + 8*4 // five int32 + four float64 (unpadded)
-	lineCellBytes = 4*3 + 8
-)
+const lineCellBytes = 4*3 + 8
 
 // planeSet holds every steering table for one band plan (one freqs
 // vector). All fields are immutable after construction.
 type planeSet struct {
 	freqs []float64 // defensive copy; cache identity
 	w     []float64 // angular frequency 2π f_k / c per band
-
-	// Base distance steering e^{ι w_k Δ_d}, row-major [k*D + d], split
-	// into components so the accumulation loop runs on flat float64
-	// slices. The anchor-dependent part e^{−ι w_k D_i} is factored into
-	// phase below, saving an anchors× multiple of this (large) table.
-	baseRe, baseIm []float64
 
 	// phase[i][k] = e^{−ι w_k D_i}: folded into B(θ, k) once per band per
 	// θ row instead of into every Δ column.
@@ -208,21 +205,21 @@ type planeSet struct {
 	steps [][]complex128
 
 	// stepPows[s][(t*K+k)*P + p-1] = steps[s][t*K+k]^p for p = 1..P,
-	// P = maxAntennas−1. The float64 oracle kernel computes these powers
-	// with a serial rotor chain per band; the chain's multiply latency is
-	// what bounds that loop, so the gated kernels read the precomputed
+	// P = maxAntennas−1. The oracle kernel computes these powers with a
+	// serial rotor chain per band; the chain's multiply latency is what
+	// bounds that loop, so the likelihood kernels read the precomputed
 	// powers instead and the beamforming sum becomes a short independent
 	// dot product. nil when every anchor has a single antenna.
 	stepPows [][]complex128
 	// stepP is P above: the number of powers stored per (θ row, band).
 	stepP int
 
-	// Float32 SoA lanes of the base distance steering for the gated
-	// path's kernels (polar32.go): the full-resolution mirror of
-	// baseRe/baseIm, plus the Δ-decimated coarse lanes the coarse pass
-	// reads contiguously (cd ← d = cd·CoarseDeltaStep). Half the memory
-	// traffic of the float64 planes; the float64 path above stays the
-	// 1e-9 golden-oracle kernel.
+	// Base distance steering e^{ι w_k Δ_d} as float32 SoA lanes for the
+	// likelihood kernels (polar32.go), row-major [k*D + d], plus the
+	// Δ-decimated coarse lanes the coarse pass reads contiguously
+	// (cd ← d = cd·CoarseDeltaStep). The anchor-dependent part
+	// e^{−ι w_k D_i} is factored into phase above, saving an anchors×
+	// multiple of this (large) table.
 	baseRe32, baseIm32   []float32 // [k*D + d]
 	cbaseRe32, cbaseIm32 []float32 // [k*cD + cd]
 
@@ -291,12 +288,10 @@ func (e *Engine) planesFor(freqs []float64) *planeSet {
 func (e *Engine) buildPlanes(freqs []float64) *planeSet {
 	K, T, D := len(freqs), len(e.thetas), len(e.deltas)
 	ps := &planeSet{
-		freqs:  append([]float64(nil), freqs...),
-		w:      make([]float64, K),
-		baseRe: make([]float64, K*D),
-		baseIm: make([]float64, K*D),
-		phase:  make([][]complex128, len(e.anchors)),
-		steps:  make([][]complex128, len(e.spacings)),
+		freqs: append([]float64(nil), freqs...),
+		w:     make([]float64, K),
+		phase: make([][]complex128, len(e.anchors)),
+		steps: make([][]complex128, len(e.spacings)),
 	}
 	for k, f := range freqs {
 		ps.w[k] = 2 * math.Pi * f / rfsim.SpeedOfLight
@@ -312,8 +307,6 @@ func (e *Engine) buildPlanes(freqs []float64) *planeSet {
 		crow := k * cD
 		for d, delta := range e.deltas {
 			s, c := math.Sincos(ps.w[k] * delta)
-			ps.baseRe[row+d] = c
-			ps.baseIm[row+d] = s
 			ps.baseRe32[row+d] = float32(c)
 			ps.baseIm32[row+d] = float32(s)
 			if d%ds == 0 {
@@ -364,7 +357,6 @@ func (e *Engine) buildPlanes(freqs []float64) *planeSet {
 		}
 	}
 	ps.bytes = len(ps.freqs)*8 + len(ps.w)*8 +
-		(len(ps.baseRe)+len(ps.baseIm))*8 +
 		(len(ps.baseRe32)+len(ps.baseIm32)+len(ps.cbaseRe32)+len(ps.cbaseIm32))*4 +
 		len(ps.phase)*K*16 + len(ps.steps)*T*K*16 +
 		len(ps.stepPows)*T*K*ps.stepP*16

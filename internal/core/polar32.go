@@ -4,9 +4,10 @@ import (
 	"math"
 )
 
-// float32 SoA variants of the Eq. 15–17 polar kernel (polar.go) for the
-// gated search. Three departures from the float64 oracle kernel, each
-// bounded by a dedicated test:
+// The production Eq. 17 polar kernel: the float32 SoA kernels every BLoc
+// fix runs, full-grid and gated alike (gated.go). Three departures from
+// the float64 oracle kernel (reference.go), each bounded by a dedicated
+// test:
 //
 //   - The Δ accumulation runs on the planeSet's float32 SoA lanes,
 //     halving the memory traffic of the likelihood's dominant loop
@@ -25,9 +26,10 @@ import (
 //     and fills the rest by linear interpolation
 //     (TestPolarFill32InterpError bounds the error at peak cells).
 //
-// The float64 kernel remains the golden-oracle path; these only feed
-// the gated search, whose estimates are guarded by the fallback
-// triggers and the parity tests.
+// End to end, the golden tests pin a fix's likelihood surface at both
+// strides 1 to within 1e-6 of the oracle surface's maximum, and the
+// default strides to the oracle pipeline's median and p90 error
+// (golden_test.go).
 
 // bfCoeffs folds the anchor/reference phase rotors into one anchor's
 // corrected-channel coefficients: avp[k*J+j] = α_kj · e^{−ι w_k D_i} ·

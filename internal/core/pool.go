@@ -5,11 +5,12 @@ import (
 	"bloc/internal/dsp"
 )
 
-// Scratch pools. Every buffer the steady-state fix path needs — polar
-// grids, per-anchor XY grids, complex accumulator planes, the corrected-
-// channel workspace, the peak-entropy window — is recycled through
-// sync.Pools owned by the engine, so after warm-up a fix performs no
-// likelihood-sized allocations. Hit/miss counters feed Stats.
+// Scratch pools. Every buffer the steady-state fix path needs — the
+// per-fix likelihood workspace (gatedRun), the corrected-channel
+// workspace, the peak-extraction and peak-entropy scratch — is recycled
+// through sync.Pools owned by the engine, so after warm-up a fix
+// allocates only its result: the combined likelihood grid and the
+// candidate list. Hit/miss counters feed Stats.
 
 // getFloats returns a pooled float64 slice of length n (engine-wide pool;
 // capacity is grown to the largest request seen).
@@ -29,23 +30,6 @@ func (e *Engine) getFloats(n int) *[]float64 {
 
 func (e *Engine) putFloats(v *[]float64) { e.floatPool.Put(v) }
 
-// getInts returns a pooled int slice with length 0 and capacity ≥ n.
-func (e *Engine) getInts(n int) *[]int {
-	if v, ok := e.intPool.Get().(*[]int); ok {
-		e.statPoolHits.Add(1)
-		if cap(*v) < n {
-			*v = make([]int, 0, n)
-		}
-		*v = (*v)[:0]
-		return v
-	}
-	e.statPoolMisses.Add(1)
-	s := make([]int, 0, n)
-	return &s
-}
-
-func (e *Engine) putInts(v *[]int) { e.intPool.Put(v) }
-
 // getPeaks returns a pooled, length-0 peak-extraction scratch.
 func (e *Engine) getPeaks() *[]dsp.Peak {
 	if v, ok := e.peakPool.Get().(*[]dsp.Peak); ok {
@@ -60,63 +44,8 @@ func (e *Engine) getPeaks() *[]dsp.Peak {
 
 func (e *Engine) putPeaks(v *[]dsp.Peak) { e.peakPool.Put(v) }
 
-// likRun is the reusable workspace of one Likelihood evaluation: the
-// per-active-anchor polar and XY grids plus the per-tile partial maxima.
-type likRun struct {
-	polars []*dsp.Grid
-	xys    []*dsp.Grid
-	maxima []float64
-	inv    []float64
-	off    []int // projection-tile offset per active anchor
-}
-
-func (e *Engine) getRun() *likRun {
-	if r, ok := e.runPool.Get().(*likRun); ok {
-		e.statPoolHits.Add(1)
-		return r
-	}
-	e.statPoolMisses.Add(1)
-	return &likRun{}
-}
-
-func (e *Engine) putRun(r *likRun) {
-	// Grids were already returned to their pools (or handed to the
-	// caller); only the slice headers are retained.
-	r.polars = r.polars[:0]
-	r.xys = r.xys[:0]
-	r.maxima = r.maxima[:0]
-	r.inv = r.inv[:0]
-	r.off = r.off[:0]
-	e.runPool.Put(r)
-}
-
-// grow appends zero values until the slice has length n, reusing capacity.
-func growGrids(s []*dsp.Grid, n int) []*dsp.Grid {
-	s = s[:0]
-	for i := 0; i < n; i++ {
-		s = append(s, nil)
-	}
-	return s
-}
-
-func growFloats(s []float64, n int) []float64 {
-	s = s[:0]
-	for i := 0; i < n; i++ {
-		s = append(s, 0)
-	}
-	return s
-}
-
-func growInts(s []int, n int) []int {
-	s = s[:0]
-	for i := 0; i < n; i++ {
-		s = append(s, 0)
-	}
-	return s
-}
-
-// gatedRun is the reusable workspace of one gated fix (gated.go): the
-// coarse polar/combined planes, the per-anchor coarse maxima, the
+// gatedRun is the reusable workspace of one fix (gated.go): the coarse
+// polar/combined planes and per-anchor coarse maxima of the gate, the
 // refinement polar plane with its per-row spans, the tile-selection
 // masks and the painted-value staging buffer. The struct owns all of
 // its slices; recycling the struct recycles every buffer at once.

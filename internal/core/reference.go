@@ -9,17 +9,20 @@ import (
 	"bloc/internal/rfsim"
 )
 
-// Reference kernels. These are the original, unoptimized implementations
-// of Eq. 15–17 and the polar→XY projection, kept verbatim as the oracle
-// the optimized plane/pool/tile kernels are tested against (golden
-// equivalence within 1e-9) and benchmarked against. They recompute every
-// steering table per call and derive every projection with per-cell
-// trigonometry — slow, but transparently close to the paper's math.
+// Reference kernels. These are the original, unoptimized float64
+// implementations of Eq. 15–17 and the polar→XY projection, kept
+// verbatim as the one oracle the production kernels are tested against
+// (golden_test.go) and benchmarked against. They recompute every steering
+// table per call and derive every projection with per-cell trigonometry
+// — slow, but transparently close to the paper's math.
 
-// LikelihoodReference computes exactly what Likelihood computes, using
-// the reference kernels: per-anchor polar likelihood, per-cell projection
-// and per-anchor normalization, summed over anchors. It is the oracle for
-// the optimized fix path and is not used by any production caller.
+// LikelihoodReference computes the combined XY likelihood of Eq. 17
+// summed over all anchors (§5.3) with the reference kernels: per-anchor
+// polar likelihood, per-cell projection and (with NormalizePerAnchor)
+// normalization to unit maximum, summed over anchors. The per-anchor
+// maps are also returned for inspection (Fig. 6c, Fig. 8c); anchors with
+// no usable band get a nil map. It is the oracle for the production fix
+// path and is not used by any serving caller.
 func (e *Engine) LikelihoodReference(a *Alpha) (combined *dsp.Grid, perAnchor []*dsp.Grid) {
 	I := a.NumAnchors()
 	perAnchor = make([]*dsp.Grid, I)

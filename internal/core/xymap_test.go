@@ -10,9 +10,39 @@ import (
 	"bloc/internal/testbed"
 )
 
+// productionPolar evaluates one anchor's polar likelihood with the
+// production float32 kernel over the whole (θ, Δ) plane, at the engine's
+// refinement strides.
+func productionPolar(e *Engine, a *Alpha, anchor int) []float32 {
+	ps := e.planesFor(a.Freqs)
+	T, D := len(e.thetas), len(e.deltas)
+	polar := make([]float32, T*D)
+	rowLo, rowHi := make([]int32, T), make([]int32, T)
+	for t := range rowHi {
+		rowHi[t] = int32(D)
+	}
+	avp := make([]complex128, a.NumBands()*a.NumAntennas())
+	bfCoeffs(ps, a, anchor, avp)
+	e.polarFill32(ps, a, anchor, polar, rowLo, rowHi, make([]float32, 2*D), avp)
+	return polar
+}
+
+// productionXY projects a production polar plane onto the XY grid
+// through every tile of the anchor's tile tables (unnormalized).
+func productionXY(e *Engine, polar []float32, anchor, ref int) *dsp.Grid {
+	at := &e.gatedFor(ref).tiles[anchor]
+	out := dsp.NewGrid(e.nx, e.ny)
+	for c, xy := range at.xy {
+		out.Data[xy] = float64(polar[at.i00[c]]*at.w00[c] + polar[at.i10[c]]*at.w10[c] +
+			polar[at.i01[c]]*at.w01[c] + polar[at.i11[c]]*at.w11[c])
+	}
+	return out
+}
+
 func TestPolarToXYBounds(t *testing.T) {
 	// Cells behind an array or outside the Δ range must stay zero, and
-	// everything in front must be finite and non-negative.
+	// everything in front must be finite and non-negative, through the
+	// production kernel and tile projection.
 	env := testbed.CleanEnvironment(31)
 	d, err := testbed.New(env, testbed.Config{Anchors: 2, Antennas: 4, Seed: 31})
 	if err != nil {
@@ -23,8 +53,7 @@ func TestPolarToXYBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polar := e.polarLikelihood(a, 1)
-	xy := e.polarToXY(polar, 1, 0)
+	xy := productionXY(e, productionPolar(e, a, 1), 1, 0)
 	nx, ny := e.GridSize()
 	arr := d.Anchors[1]
 	for iy := 0; iy < ny; iy++ {
@@ -55,11 +84,21 @@ func TestPolarLikelihoodNonNegativeAndPeaked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polar := e.polarLikelihood(a, 1)
-	gmax, ix, iy := polar.Max()
-	if gmax <= 0 {
+	polar := productionPolar(e, a, 1)
+	D := len(e.deltas)
+	best := 0
+	for i, v := range polar {
+		if math.IsNaN(float64(v)) || v < 0 {
+			t.Fatalf("polar cell %d = %v", i, v)
+		}
+		if v > polar[best] {
+			best = i
+		}
+	}
+	if polar[best] <= 0 {
 		t.Fatal("empty polar likelihood")
 	}
+	ix, iy := best%D, best/D
 	// The max must sit near the true (θ, Δ).
 	gotTheta := e.thetas[iy]
 	gotDelta := e.deltas[ix]
@@ -120,7 +159,7 @@ func TestLikelihoodPerAnchorNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, per := e.Likelihood(a)
+	combined, per := e.LikelihoodReference(a)
 	for i, g := range per {
 		gmax, _, _ := g.Max()
 		if math.Abs(gmax-1) > 1e-9 {

@@ -112,14 +112,22 @@ func (s *Suite) runFixes(fixes, workers int) error {
 	return fail
 }
 
-// MaxKernelDivergence localizes the first n dataset snapshots with both
-// the optimized and the reference likelihood kernels and returns the
-// largest absolute per-cell divergence seen on the combined surfaces —
-// the eval-level guarantee that every figure the suite produces is
-// unchanged by the performance work.
+// MaxKernelDivergence localizes the first n dataset snapshots through
+// the production fix path, on an engine with the suite's configuration
+// but both refinement strides at 1 (no interpolation), and compares each
+// fix's likelihood surface with the float64 oracle's
+// (LikelihoodReference). It returns the largest per-cell divergence
+// relative to the oracle surface's maximum — the eval-level guarantee
+// that the float32 kernel computes what the paper's Eq. 17 defines.
 func (s *Suite) MaxKernelDivergence(n int) (float64, error) {
 	if n > len(s.DS.Snapshots) {
 		n = len(s.DS.Snapshots)
+	}
+	cfg := s.Eng.Config()
+	cfg.Gate.RefineDeltaStep, cfg.Gate.RefineThetaStep = 1, 1
+	eng, err := core.NewEngine(s.Eng.Anchors(), cfg)
+	if err != nil {
+		return 0, err
 	}
 	var worst float64
 	for i := 0; i < n; i++ {
@@ -127,10 +135,17 @@ func (s *Suite) MaxKernelDivergence(n int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		opt, _ := s.Eng.Likelihood(a)
-		ref, _ := s.Eng.LikelihoodReference(a)
+		res, err := eng.LocateAlpha(a)
+		if err != nil {
+			return 0, err
+		}
+		ref, _ := eng.LikelihoodReference(a)
+		max, _, _ := ref.Max()
+		if !(max > 0) {
+			return 0, fmt.Errorf("eval: snapshot %d: empty oracle surface", i)
+		}
 		for c := range ref.Data {
-			if d := math.Abs(opt.Data[c] - ref.Data[c]); d > worst {
+			if d := math.Abs(res.Likelihood.Data[c]-ref.Data[c]) / max; d > worst {
 				worst = d
 			}
 		}

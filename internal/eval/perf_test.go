@@ -25,16 +25,19 @@ func TestMeasureFixes(t *testing.T) {
 	}
 }
 
-// TestSuiteKernelParity is the eval-level golden check: the optimized
-// likelihood must agree with the reference kernel within 1e-9 on the
-// suite's own dataset, so every figure the suite produces is unchanged.
+// TestSuiteKernelParity is the eval-level golden check: on the suite's
+// own dataset, every cell of the production fix surface (at refinement
+// strides 1) must lie within 1e-6 of the float64 oracle surface's
+// maximum, so every figure the suite produces computes the paper's
+// Eq. 17.
 func TestSuiteKernelParity(t *testing.T) {
 	s := perfSuite(t)
 	worst, err := s.MaxKernelDivergence(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worst > 1e-9 {
-		t.Fatalf("optimized kernel diverges from reference by %g (limit 1e-9)", worst)
+	if worst > 1e-6 {
+		t.Fatalf("production kernel diverges from the oracle by %g of its maximum (limit 1e-6)", worst)
 	}
+	t.Logf("worst cell divergence %.2e of the oracle maximum", worst)
 }
